@@ -254,9 +254,11 @@ class SympiledTriangularSolve(CompiledArtifact):
 class SympiledFactorization(CompiledArtifact):
     """Shared behaviour of the factorization artifacts (LLᵀ, LDLᵀ, ...).
 
-    The factor pattern, its fingerprint check and the numeric raw-array entry
-    point are identical across factorization kernels; subclasses only shape
-    the value of :meth:`factorize` (a factor matrix, an ``(L, D)`` pair, ...).
+    The factor pattern, its fingerprint check, the numeric raw-array entry
+    point and :meth:`factorize` are identical across factorization kernels;
+    subclasses only shape the raw output in :meth:`assemble_factors` (a
+    factor matrix, an ``(L, D)`` pair, ...).  IC(0) and ILU(0) reuse the
+    Cholesky and LU shapes by subclassing those artifacts.
     """
 
     inspection: CholeskyInspectionResult = None
@@ -282,6 +284,17 @@ class SympiledFactorization(CompiledArtifact):
         if not observe_trace.enabled():
             return self.entry(*args, **kwargs)
         return self._traced_numeric("factorize", args, kwargs)
+
+    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False):
+        """Factorize ``A`` (same pattern as at compile time).
+
+        Returns the factor object :meth:`assemble_factors` shapes; set
+        ``check_pattern=True`` to verify the pattern first (at the cost of
+        hashing the pattern arrays).
+        """
+        if check_pattern:
+            self.verify_pattern(A)
+        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
 
     def verify_pattern(self, A: CSCMatrix) -> None:
         """Raise :class:`PatternMismatchError` if ``A`` has a different pattern."""
@@ -330,12 +343,6 @@ class SympiledCholesky(SympiledFactorization):
         """The Cholesky raw output is the ``Lx`` value array."""
         return self._assemble_factor(raw)
 
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> CSCMatrix:
-        """Factorize ``A`` (same pattern as at compile time) into ``L``."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
 
 @dataclass
 class SympiledLU(SympiledFactorization):
@@ -366,12 +373,6 @@ class SympiledLU(SympiledFactorization):
         )
         return LUFactors(L=self._assemble_factor(lx), U=U)
 
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> LUFactors:
-        """Factorize ``A`` (same pattern as at compile time) into ``L, U``."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
     @property
     def u_pattern(self) -> CSCMatrix:
         """The ``U`` pattern (zero values), available before factorizing."""
@@ -379,14 +380,14 @@ class SympiledLU(SympiledFactorization):
 
 
 @dataclass
-class SympiledIC0(SympiledFactorization):
+class SympiledIC0(SympiledCholesky):
     """An incomplete Cholesky IC(0) specialized to one SPD pattern.
 
     The factor pattern is ``tril(A)`` (no fill), so ``factorize`` returns a
-    lower-triangular ``L`` with ``L Lᵀ ≈ A`` — exact on the pattern of
-    ``A``, the defining property of IC(0).  Built as a *preconditioner*
-    kernel: the factor feeds the generated triangular solves of a
-    preconditioned iterative method (see
+    lower-triangular ``L`` (assembled as the Cholesky factor is) with
+    ``L Lᵀ ≈ A`` — exact on the pattern of ``A``, the defining property of
+    IC(0).  Built as a *preconditioner* kernel: the factor feeds the
+    generated triangular solves of a preconditioned iterative method (see
     :func:`repro.solvers.cg.preconditioned_conjugate_gradient`), not a
     direct solve.
     """
@@ -395,56 +396,22 @@ class SympiledIC0(SympiledFactorization):
     is_incomplete = True
     inspection: IC0InspectionResult = None
 
-    def assemble_factors(self, raw) -> CSCMatrix:
-        """The IC(0) raw output is the ``Lx`` value array."""
-        return self._assemble_factor(raw)
-
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> CSCMatrix:
-        """Compute the incomplete factor of ``A`` (same pattern as compiled)."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
 
 @dataclass
-class SympiledILU0(SympiledFactorization):
+class SympiledILU0(SympiledLU):
     """An incomplete LU ILU(0) specialized to one (unsymmetric) pattern.
 
     No fill, no pivoting: ``L`` is unit lower triangular on the strict lower
     triangle of ``A`` (explicit unit diagonal, so the generated
     triangular-solve kernels apply unchanged), ``U`` upper triangular on
     ``triu(A)``, and ``L U`` matches ``A`` exactly on the pattern of ``A``.
-    A preconditioner kernel for unsymmetric iterative solves.
+    The factors are assembled as LU's are.  A preconditioner kernel for
+    unsymmetric iterative solves.
     """
 
     kernel_name = "ilu0"
     is_incomplete = True
     inspection: ILU0InspectionResult = None
-
-    def assemble_factors(self, raw) -> LUFactors:
-        """The ILU(0) raw output is the ``(Lx, Ux)`` value-array pair."""
-        lx, ux = raw
-        insp = self.inspection
-        U = CSCMatrix(
-            insp.n,
-            insp.n,
-            insp.u_indptr,
-            insp.u_indices,
-            np.asarray(ux, dtype=np.float64),
-            check=False,
-        )
-        return LUFactors(L=self._assemble_factor(lx), U=U)
-
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> LUFactors:
-        """Compute the incomplete factors of ``A`` (same pattern as compiled)."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))
-
-    @property
-    def u_pattern(self) -> CSCMatrix:
-        """The ``U`` pattern (zero values), available before factorizing."""
-        return self.inspection.u_pattern_matrix()
 
 
 @dataclass
@@ -466,8 +433,3 @@ class SympiledLDLT(SympiledFactorization):
             L=self._assemble_factor(lx), d=np.asarray(d, dtype=np.float64)
         )
 
-    def factorize(self, A: CSCMatrix, *, check_pattern: bool = False) -> LDLTFactors:
-        """Factorize ``A`` (same pattern as at compile time) into ``L, D``."""
-        if check_pattern:
-            self.verify_pattern(A)
-        return self.assemble_factors(self.factorize_arrays(A.indptr, A.indices, A.data))

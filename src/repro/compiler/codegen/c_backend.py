@@ -7,13 +7,16 @@ the closest analogue of the original Sympiler, which generates C and compiles
 it with GCC ``-O3`` (§4.1); the backend is optional — environments without a
 C compiler use the Python backend instead.
 
-Entry points generated:
-
-* triangular solve — ``void <name>(const int64_t* Lp, const int64_t* Li,
-  const double* Lx, const double* b, double* x)``
-* Cholesky — ``int64_t <name>(const int64_t* Ap, const int64_t* Ai,
-  const double* Ax, double* Lx)`` returning 0 on success or ``j + 1`` when a
-  non-positive pivot is met at column ``j``.
+Entry points generated: one per row of the ABI table ``_C_METHOD_SPECS``,
+all of one shape — the pattern's ``int64_t`` column pointers and row indices,
+its ``double`` values (plus the dense right-hand side ``b`` of the triangular
+solve), then one ``double*`` output buffer per factor.  The Cholesky entry,
+for example, is ``int64_t <name>(const int64_t* Ap, const int64_t* Ai, const
+double* Ax, double* Lx)``; factorizations return 0 on success or ``j + 1`` at
+a breakdown in column ``j``, the triangular solve returns ``void``.  One
+ctypes wrapper, built from the table row, checks the input lengths against
+the compiled pattern, allocates the outputs and turns a nonzero status into
+``ValueError``.
 
 Under ``SympilerOptions(parallel="wavefront")`` every entry point gains a
 trailing ``int64_t n_threads`` argument and executes the columns of each
@@ -35,7 +38,7 @@ import subprocess
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,7 +61,6 @@ from repro.compiler.ast import (
 )
 from repro.compiler.cache import build_file_once
 from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
-from repro.compiler.registration import register_unique
 from repro.observe.trace import span as observe_span
 
 __all__ = [
@@ -70,7 +72,6 @@ __all__ = [
     "c_compiler_available",
     "disk_cache_stats",
     "reset_disk_cache_stats",
-    "register_c_method",
     "atomic_write_text",
     "tmp_path_for",
 ]
@@ -209,12 +210,14 @@ class CGeneratedModule:
     compiler: str
     flags: Tuple[str, ...]
     n: int
-    factor_nnz: int = 0
     # Within-kernel execution mode of the generated entry point: "none"
     # (serial ABI), "wavefront" (level-parallel, trailing n_threads arg) or
     # "serial-fallback" (wavefront ABI around the serial body — emitted when
     # the schedule is too deep or the kernel supernodal).
     parallel: str = "none"
+    # Integers read back after generation: the compiled pattern's "nnz" and
+    # each output's size (checked and allocated by the entry wrapper), and
+    # "wf_n_levels" of a wavefront kernel (its profiling buffer length).
     meta: Dict[str, int] = field(default_factory=dict)
     compile_seconds: float = 0.0
     shared_object: Optional[str] = None
@@ -301,7 +304,7 @@ class CGeneratedModule:
         self._lib = lib
         self.shared_object = so_path
         self.compile_seconds = time.perf_counter() - start
-        self._callable = spec.wrapper_factory(self, fn)
+        self._callable = _c_entry(self, fn, spec)
         return self._callable
 
     # ------------------------------------------------------------------ #
@@ -317,10 +320,7 @@ class CGeneratedModule:
         """
         if self._lib is None or self.parallel != "wavefront":
             return False
-        try:
-            setter = self._lib.repro_wf_set_profile
-        except AttributeError:  # pragma: no cover - older cached .so
-            return False
+        setter = self._lib.repro_wf_set_profile
         setter.argtypes = [ctypes.c_int64]
         setter.restype = None
         setter(1 if on else 0)
@@ -339,10 +339,7 @@ class CGeneratedModule:
         n_levels = int(self.meta.get("wf_n_levels", 0))
         if self._lib is None or self.parallel != "wavefront" or n_levels <= 0:
             return None
-        try:
-            getter = getattr(self._lib, f"{self.entry_name}_wf_level_times")
-        except AttributeError:  # pragma: no cover - older cached .so
-            return None
+        getter = getattr(self._lib, f"{self.entry_name}_wf_level_times")
         getter.restype = ctypes.POINTER(ctypes.c_double)
         getter.argtypes = []
         ts = np.ctypeslib.as_array(getter(), shape=(n_levels + 1,))
@@ -352,124 +349,57 @@ class CGeneratedModule:
 
 
 # --------------------------------------------------------------------------- #
-# Per-method ABI specs (entry signature + ctypes wrapper)
+# Per-method ABI table: one row per kernel, one ctypes wrapper for all rows
 # --------------------------------------------------------------------------- #
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 
 
-def _trisolve_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = None
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
+@dataclass(frozen=True)
+class CMethodSpec:
+    """ABI description of one kernel method for the C backend.
 
-    def wrapper(Lp, Li, Lx, b):
-        Lp = np.ascontiguousarray(Lp, dtype=np.int64)
-        Li = np.ascontiguousarray(Li, dtype=np.int64)
-        Lx = np.ascontiguousarray(Lx, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        x = np.empty(module.n, dtype=np.float64)
-        fn(Lp, Li, Lx, b, x)
-        return x
+    ``inputs`` names the entry's input arrays: the pattern's ``int64``
+    column pointers and row indices, its ``float64`` values, then any
+    length-``n`` ``float64`` right-hand sides.  ``outputs`` pairs each
+    ``double*`` output buffer with its size, named after the inspection
+    attribute holding it (``n``, ``factor_nnz``, ``l_nnz``, ``u_nnz``) and
+    resolved once per compiled module.  ``status_error`` formats the
+    ``ValueError`` raised when the entry returns a nonzero status (``j + 1``
+    at a breakdown in column ``j``); ``None`` declares a ``void`` entry.
+    ``body_emitter`` names the :class:`CBackend` method emitting the body.
 
-    return wrapper
+    The C signature and the ctypes wrapper (:func:`_c_entry`) are both
+    derived from the row, and so is the row's ``@wavefront`` variant
+    (:meth:`wavefront_variant`), so adding a kernel method to the C backend
+    means adding one row to :data:`_C_METHOD_SPECS`.
+    """
 
+    inputs: Tuple[str, ...]
+    outputs: Tuple[Tuple[str, str], ...]
+    body_emitter: str
+    status_error: Optional[str] = None
+    wavefront: bool = False
 
-def _cholesky_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P]
+    @property
+    def signature(self) -> str:
+        """The entry's C signature, a format template over ``{name}``."""
+        indptr, indices, *values = self.inputs
+        params = [f"const int64_t* {indptr}", f"const int64_t* {indices}"]
+        params += [f"const double* {name}" for name in values]
+        params += [f"double* {name}" for name, _ in self.outputs]
+        if self.wavefront:
+            params.append("int64_t n_threads")
+        ret = "void" if self.status_error is None else "int64_t"
+        return f"{ret} {{name}}({', '.join(params)})"
 
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx)
-        if status != 0:
-            raise ValueError(
-                f"matrix is not positive definite at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ldlt_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        D = np.zeros(module.n, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, D)
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, D
-
-    return wrapper
-
-
-def _lu_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux)
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
-
-
-def _ic0_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx)
-        if status != 0:
-            raise ValueError(
-                f"IC(0) breakdown: non-positive pivot at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ilu0_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P]
-
-    def wrapper(Ap, Ai, Ax):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux)
-        if status != 0:
-            raise ValueError(
-                f"ILU(0) breakdown: zero pivot at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
+    def wavefront_variant(self) -> "CMethodSpec":
+        """The level-parallel twin: trailing ``n_threads``, ``_emit_wf_*`` body."""
+        return replace(
+            self,
+            body_emitter=self.body_emitter.replace("_emit_", "_emit_wf_", 1),
+            wavefront=True,
+        )
 
 
 def _wavefront_threads(num_threads: Optional[int]) -> int:
@@ -493,276 +423,131 @@ def _wavefront_threads(num_threads: Optional[int]) -> int:
     return num_threads
 
 
-# Wavefront variants of the wrappers: same array handling, but the entry
-# takes a trailing n_threads and the wrapper a num_threads=None keyword
-# (resolved per call — the thread count is a runtime knob, never baked in).
-def _trisolve_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = None
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
+def _c_entry(module: "CGeneratedModule", fn, spec: CMethodSpec) -> Callable:
+    """The NumPy-friendly ctypes wrapper of one loaded entry point.
 
-    def wrapper(Lp, Li, Lx, b, num_threads=None):
-        Lp = np.ascontiguousarray(Lp, dtype=np.int64)
-        Li = np.ascontiguousarray(Li, dtype=np.int64)
-        Lx = np.ascontiguousarray(Lx, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        x = np.empty(module.n, dtype=np.float64)
-        fn(Lp, Li, Lx, b, x, _wavefront_threads(num_threads))
-        return x
+    Takes the ``spec.inputs`` arrays positionally (wavefront entries also a
+    ``num_threads=None`` keyword, resolved per call — the thread count is a
+    runtime knob, never baked in) and returns the zero-initialised output
+    buffers after the call: a bare array for one output, a tuple for two.
 
-    return wrapper
-
-
-def _cholesky_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"matrix is not positive definite at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ldlt_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        D = np.zeros(module.n, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, D, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, D
-
-    return wrapper
-
-
-def _lu_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"matrix is singular (zero pivot) at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
-
-
-def _ic0_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.factor_nnz, dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"IC(0) breakdown: non-positive pivot at column {int(status) - 1}"
-            )
-        return Lx
-
-    return wrapper
-
-
-def _ilu0_wf_wrapper(module: "CGeneratedModule", fn) -> Callable:
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [_I64P, _I64P, _F64P, _F64P, _F64P, ctypes.c_int64]
-
-    def wrapper(Ap, Ai, Ax, num_threads=None):
-        Ap = np.ascontiguousarray(Ap, dtype=np.int64)
-        Ai = np.ascontiguousarray(Ai, dtype=np.int64)
-        Ax = np.ascontiguousarray(Ax, dtype=np.float64)
-        Lx = np.zeros(module.meta["l_nnz"], dtype=np.float64)
-        Ux = np.zeros(module.meta["u_nnz"], dtype=np.float64)
-        status = fn(Ap, Ai, Ax, Lx, Ux, _wavefront_threads(num_threads))
-        if status != 0:
-            raise ValueError(
-                f"ILU(0) breakdown: zero pivot at column {int(status) - 1}"
-            )
-        return Lx, Ux
-
-    return wrapper
-
-
-@dataclass(frozen=True)
-class CMethodSpec:
-    """ABI description of one kernel method for the C backend.
-
-    ``signature`` is a format template over ``{name}``; ``body_emitter`` names
-    the :class:`CBackend` method emitting the function body;
-    ``wrapper_factory`` builds the NumPy-friendly ctypes wrapper;
-    ``module_meta`` optionally derives extra integers the wrapper needs (e.g.
-    the per-factor allocation sizes of LU) from the compilation context.  The
-    backend dispatches on this table, so registering a new kernel method means
-    adding a spec instead of editing the generator.
+    This is the only code that hands raw memory to the generated C, which
+    trusts the compiled pattern, so an O(1) length check runs first: the
+    column pointers must have ``n + 1`` entries ending at the compiled nnz,
+    the row indices and values at least that many, and right-hand sides
+    exactly ``n``.  A mismatch raises ``ValueError`` naming the array.
     """
+    n_rhs = len(spec.inputs) - 3
+    fn.restype = None if spec.status_error is None else ctypes.c_int64
+    fn.argtypes = [_I64P, _I64P] + [_F64P] * (1 + n_rhs + len(spec.outputs))
+    if spec.wavefront:
+        fn.argtypes.append(ctypes.c_int64)
+    n, nnz = module.n, module.meta["nnz"]
+    sizes = [module.meta[key] for _, key in spec.outputs]
+    single = len(sizes) == 1
+    wavefront, status_error = spec.wavefront, spec.status_error
 
-    signature: str
-    body_emitter: str
-    wrapper_factory: Callable
-    needs_factor_nnz: bool = False
-    module_meta: Optional[Callable[[object], Dict[str, int]]] = None
+    def wrapper(indptr, indices, values, *rhs, num_threads=None):
+        if len(rhs) != n_rhs:
+            raise TypeError(f"{module.entry_name} takes the arrays {spec.inputs}")
+        if num_threads is not None and not wavefront:
+            raise TypeError("a serial entry point takes no num_threads")
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if rhs:
+            rhs = [np.ascontiguousarray(r, dtype=np.float64) for r in rhs]
+        if (
+            indptr.size != n + 1
+            or indptr[-1] != nnz
+            or indices.size < nnz
+            or values.size < nnz
+            or any([r.size != n for r in rhs])
+        ):
+            _raise_length_error(spec.inputs, (indptr, indices, values, *rhs), n, nnz)
+        outs = [np.zeros(size) for size in sizes]
+        if wavefront:
+            status = fn(indptr, indices, values, *rhs, *outs, _wavefront_threads(num_threads))
+        else:
+            status = fn(indptr, indices, values, *rhs, *outs)
+        if status:
+            raise ValueError(status_error.format(int(status) - 1))
+        return outs[0] if single else tuple(outs)
+
+    return wrapper
 
 
-_C_METHOD_SPECS: Dict[str, CMethodSpec] = {
+def _raise_length_error(names, arrays, n: int, nnz: int) -> None:
+    """Name the first input whose length does not fit the compiled pattern."""
+    indptr = arrays[0]
+    if indptr.size != n + 1:
+        raise ValueError(
+            f"{names[0]} has {indptr.size} entries; the compiled pattern "
+            f"needs n + 1 = {n + 1}"
+        )
+    if indptr[-1] != nnz:
+        raise ValueError(
+            f"{names[0]}[-1] is {int(indptr[-1])}; the compiled pattern has "
+            f"nnz = {nnz}"
+        )
+    for name, arr in zip(names[1:3], arrays[1:3]):
+        if arr.size < nnz:
+            raise ValueError(
+                f"{name} has {arr.size} entries; the compiled pattern needs "
+                f"at least nnz = {nnz}"
+            )
+    for name, arr in zip(names[3:], arrays[3:]):
+        if arr.size != n:
+            raise ValueError(
+                f"{name} has {arr.size} entries; the compiled pattern needs n = {n}"
+            )
+
+
+_A_INPUTS = ("Ap", "Ai", "Ax")
+_L_OUT = (("Lx", "factor_nnz"),)
+_LU_OUTS = (("Lx", "l_nnz"), ("Ux", "u_nnz"))
+_ZERO_PIVOT = "matrix is singular (zero pivot) at column {}"
+
+_SERIAL_SPECS: Dict[str, CMethodSpec] = {
     "triangular-solve": CMethodSpec(
-        signature=(
-            "void {name}(const int64_t* Lp, const int64_t* Li, "
-            "const double* Lx, const double* b, double* x)"
-        ),
-        body_emitter="_emit_trisolve_body",
-        wrapper_factory=_trisolve_wrapper,
+        ("Lp", "Li", "Lx", "b"), (("x", "n"),), "_emit_trisolve_body"
     ),
     "cholesky": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx)"
-        ),
-        body_emitter="_emit_factorization_body",
-        wrapper_factory=_cholesky_wrapper,
-        needs_factor_nnz=True,
+        _A_INPUTS,
+        _L_OUT,
+        "_emit_factorization_body",
+        "matrix is not positive definite at column {}",
     ),
     "ldlt": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* D)"
-        ),
-        body_emitter="_emit_factorization_body",
-        wrapper_factory=_ldlt_wrapper,
-        needs_factor_nnz=True,
+        _A_INPUTS,
+        (("Lx", "factor_nnz"), ("D", "n")),
+        "_emit_factorization_body",
+        _ZERO_PIVOT,
     ),
-    "lu": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux)"
-        ),
-        body_emitter="_emit_lu_body",
-        wrapper_factory=_lu_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
-    ),
+    "lu": CMethodSpec(_A_INPUTS, _LU_OUTS, "_emit_lu_body", _ZERO_PIVOT),
     "ic0": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx)"
-        ),
-        body_emitter="_emit_ic0_body",
-        wrapper_factory=_ic0_wrapper,
-        needs_factor_nnz=True,
+        _A_INPUTS,
+        _L_OUT,
+        "_emit_ic0_body",
+        "IC(0) breakdown: non-positive pivot at column {}",
     ),
     "ilu0": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux)"
-        ),
-        body_emitter="_emit_ilu0_body",
-        wrapper_factory=_ilu0_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
-    ),
-    # Level-parallel (wavefront) variants: same kernels behind an ABI with a
-    # trailing runtime thread count.  Selected by options.parallel, which is
-    # part of the options fingerprint, so serial and wavefront artifacts of
-    # one pattern cache independently in memory and on disk.
-    "triangular-solve@wavefront": CMethodSpec(
-        signature=(
-            "void {name}(const int64_t* Lp, const int64_t* Li, "
-            "const double* Lx, const double* b, double* x, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_trisolve_body",
-        wrapper_factory=_trisolve_wf_wrapper,
-    ),
-    "cholesky@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_factorization_body",
-        wrapper_factory=_cholesky_wf_wrapper,
-        needs_factor_nnz=True,
-    ),
-    "ldlt@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* D, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_factorization_body",
-        wrapper_factory=_ldlt_wf_wrapper,
-        needs_factor_nnz=True,
-    ),
-    "lu@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_lu_body",
-        wrapper_factory=_lu_wf_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
-    ),
-    "ic0@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_ic0_body",
-        wrapper_factory=_ic0_wf_wrapper,
-        needs_factor_nnz=True,
-    ),
-    "ilu0@wavefront": CMethodSpec(
-        signature=(
-            "int64_t {name}(const int64_t* Ap, const int64_t* Ai, "
-            "const double* Ax, double* Lx, double* Ux, int64_t n_threads)"
-        ),
-        body_emitter="_emit_wf_ilu0_body",
-        wrapper_factory=_ilu0_wf_wrapper,
-        needs_factor_nnz=True,
-        module_meta=lambda context: {
-            "l_nnz": int(context.inspection.l_nnz),
-            "u_nnz": int(context.inspection.u_nnz),
-        },
+        _A_INPUTS,
+        _LU_OUTS,
+        "_emit_ilu0_body",
+        "ILU(0) breakdown: zero pivot at column {}",
     ),
 }
 
-
-def register_c_method(method: str, spec: CMethodSpec) -> None:
-    """Register the ABI spec of an additional kernel method."""
-    register_unique(_C_METHOD_SPECS, method, spec, kind="C method spec")
+#: Every method, plus its level-parallel (wavefront) variant: the same
+#: kernel behind an ABI with a trailing runtime thread count.  Selected by
+#: options.parallel, which is part of the options fingerprint, so serial and
+#: wavefront artifacts of one pattern cache independently in memory and on
+#: disk.
+_C_METHOD_SPECS: Dict[str, CMethodSpec] = {
+    **_SERIAL_SPECS,
+    **{f"{m}@wavefront": s.wavefront_variant() for m, s in _SERIAL_SPECS.items()},
+}
 
 
 class _CEmitter:
@@ -970,17 +755,12 @@ class CBackend:
         self._parallel_mode = "none"
         method_key = kernel.method
         if getattr(context.options, "parallel", "none") == "wavefront":
-            wf_key = f"{kernel.method}@wavefront"
-            if wf_key in _C_METHOD_SPECS:
-                method_key = wf_key
+            method_key = f"{kernel.method}@wavefront"
         method_spec = _C_METHOD_SPECS.get(method_key)
         if method_spec is None:
             raise CCompilationError(f"unsupported method {kernel.method!r}")
         body_out = _CEmitter()
         body_out.indent = 1
-        factor_nnz = (
-            int(context.inspection.factor_nnz) if method_spec.needs_factor_nnz else 0
-        )
         getattr(self, method_spec.body_emitter)(body_out, kernel, context)
         signature = method_spec.signature.format(name=kernel.name)
 
@@ -1028,7 +808,9 @@ class CBackend:
         for name, value in self._constants.items():
             if name not in kernel.constants:
                 kernel.constants[name] = value
-        meta = dict(method_spec.module_meta(context)) if method_spec.module_meta else {}
+        meta = {"nnz": context.matrix.nnz}
+        for _, size in method_spec.outputs:
+            meta[size] = int(getattr(context.inspection, size))
         if self._parallel_mode == "wavefront":
             # The per-level profiling buffer length, needed by
             # wavefront_level_seconds() to read the timestamps back out.
@@ -1042,7 +824,6 @@ class CBackend:
             compiler=self.compiler,
             flags=self.flags,
             n=self._n,
-            factor_nnz=factor_nnz,
             parallel=self._parallel_mode,
             meta=meta,
         )
