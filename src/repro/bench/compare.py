@@ -167,9 +167,10 @@ GATED_METRICS: Dict[str, Tuple[GatedMetric, ...]] = {
         # no increase (the warm-failover guarantee).
         GatedMetric("failover_recompiles", "lower"),
         # Same-run ratio, v2 pipelining vs v1 lock-step on one server.  The
-        # win holds even on one core (the sync client pays the coalescing
-        # window per request); the noise floor absorbs scheduler jitter on
-        # the sub-second workload without forgiving a collapse to parity.
+        # win holds even on one core (the bench's 5 ms coalescing window is
+        # paid per request lock-step, per batch pipelined); the noise floor
+        # absorbs scheduler jitter on the sub-second workload without
+        # forgiving a collapse to parity.
         GatedMetric("pipelined_over_roundtrip", "higher", noise=0.5),
         # Same-run 2-shard/1-shard throughput ratio.  Its magnitude tracks
         # the runner's core count (~1.0 on one core, >1.3 on two-plus), so

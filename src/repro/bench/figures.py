@@ -946,8 +946,8 @@ def fleet_throughput(
     * ``pipelined_over_roundtrip`` — protocol v2 (submit-all, one
       connection, id-tagged responses) over protocol v1 (lock-step
       round-trips) against the *same* server.  Wins even on one core: the
-      sync v1 client pays the coalescing window per request while the
-      pipelined client fills whole batches.
+      sync v1 client waits out the ``window_ms`` coalescing window on every
+      request while the pipelined client fills whole batches.
     * ``v1_compat`` — a pinned-v1 client round-trips against the v2 server.
     * ``all_complete`` / ``solutions_ok`` — every request in the
       kill-a-shard-mid-stream fleet run completes and verifies against the

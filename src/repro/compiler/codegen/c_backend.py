@@ -60,7 +60,11 @@ from repro.compiler.ast import (
     Var,
 )
 from repro.compiler.cache import build_file_once
-from repro.compiler.codegen.runtime import generated_code_dir, pattern_fingerprint
+from repro.compiler.codegen.runtime import (
+    check_input_lengths,
+    generated_code_dir,
+    pattern_fingerprint,
+)
 from repro.observe.trace import span as observe_span
 
 __all__ = [
@@ -432,10 +436,9 @@ def _c_entry(module: "CGeneratedModule", fn, spec: CMethodSpec) -> Callable:
     buffers after the call: a bare array for one output, a tuple for two.
 
     This is the only code that hands raw memory to the generated C, which
-    trusts the compiled pattern, so an O(1) length check runs first: the
-    column pointers must have ``n + 1`` entries ending at the compiled nnz,
-    the row indices and values at least that many, and right-hand sides
-    exactly ``n``.  A mismatch raises ``ValueError`` naming the array.
+    trusts the compiled pattern, so the O(1) length check
+    (:func:`~repro.compiler.codegen.runtime.check_input_lengths`) runs first
+    and raises ``ValueError`` naming a mis-sized array.
     """
     n_rhs = len(spec.inputs) - 3
     fn.restype = None if spec.status_error is None else ctypes.c_int64
@@ -457,14 +460,7 @@ def _c_entry(module: "CGeneratedModule", fn, spec: CMethodSpec) -> Callable:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if rhs:
             rhs = [np.ascontiguousarray(r, dtype=np.float64) for r in rhs]
-        if (
-            indptr.size != n + 1
-            or indptr[-1] != nnz
-            or indices.size < nnz
-            or values.size < nnz
-            or any([r.size != n for r in rhs])
-        ):
-            _raise_length_error(spec.inputs, (indptr, indices, values, *rhs), n, nnz)
+        check_input_lengths(spec.inputs, (indptr, indices, values, *rhs), n, nnz)
         outs = [np.zeros(size) for size in sizes]
         if wavefront:
             status = fn(indptr, indices, values, *rhs, *outs, _wavefront_threads(num_threads))
@@ -475,32 +471,6 @@ def _c_entry(module: "CGeneratedModule", fn, spec: CMethodSpec) -> Callable:
         return outs[0] if single else tuple(outs)
 
     return wrapper
-
-
-def _raise_length_error(names, arrays, n: int, nnz: int) -> None:
-    """Name the first input whose length does not fit the compiled pattern."""
-    indptr = arrays[0]
-    if indptr.size != n + 1:
-        raise ValueError(
-            f"{names[0]} has {indptr.size} entries; the compiled pattern "
-            f"needs n + 1 = {n + 1}"
-        )
-    if indptr[-1] != nnz:
-        raise ValueError(
-            f"{names[0]}[-1] is {int(indptr[-1])}; the compiled pattern has "
-            f"nnz = {nnz}"
-        )
-    for name, arr in zip(names[1:3], arrays[1:3]):
-        if arr.size < nnz:
-            raise ValueError(
-                f"{name} has {arr.size} entries; the compiled pattern needs "
-                f"at least nnz = {nnz}"
-            )
-    for name, arr in zip(names[3:], arrays[3:]):
-        if arr.size != n:
-            raise ValueError(
-                f"{name} has {arr.size} entries; the compiled pattern needs n = {n}"
-            )
 
 
 _A_INPUTS = ("Ap", "Ai", "Ax")

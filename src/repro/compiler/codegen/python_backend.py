@@ -70,7 +70,11 @@ from repro.compiler.codegen.c_backend import (
     disk_cache_stats,
     tmp_path_for,
 )
-from repro.compiler.codegen.runtime import generated_code_dir, runtime_namespace
+from repro.compiler.codegen.runtime import (
+    check_input_lengths,
+    generated_code_dir,
+    runtime_namespace,
+)
 from repro.compiler.registration import register_unique
 from repro.observe.trace import span as observe_span
 
@@ -182,7 +186,13 @@ def _persist_module(py_path: str, npz_path: str, source: str, constants: Dict[st
 
 @dataclass
 class GeneratedModule:
-    """A generated, compiled Python module specialized to one pattern."""
+    """A generated, compiled Python module specialized to one pattern.
+
+    ``n`` and ``nnz`` are the compiled pattern's order and nonzero count;
+    when set, the entry callable checks its input lengths against them
+    (:func:`~repro.compiler.codegen.runtime.check_input_lengths`) before the
+    generated code indexes the arrays.
+    """
 
     source: str
     entry_name: str
@@ -190,6 +200,8 @@ class GeneratedModule:
     method: str
     codegen_seconds: float
     compile_seconds: float = 0.0
+    n: Optional[int] = None
+    nnz: Optional[int] = None
     _callable: Optional[Callable] = field(default=None, repr=False)
 
     def compile(self) -> Callable:
@@ -207,6 +219,8 @@ class GeneratedModule:
         fn = namespace.get(self.entry_name)
         if not callable(fn):
             raise CodegenError(f"generated module does not define {self.entry_name!r}")
+        if self.n is not None:
+            fn = _length_guarded(fn, _PY_METHOD_SPECS[self.method].params, self.n, self.nnz)
         self._callable = fn
         return fn
 
@@ -214,6 +228,18 @@ class GeneratedModule:
     def line_count(self) -> int:
         """Number of lines of generated source."""
         return self.source.count("\n") + 1
+
+
+def _length_guarded(fn: Callable, params: str, n: int, nnz: int) -> Callable:
+    """``fn`` behind the O(1) input-length guard the C wrapper also runs."""
+    names = tuple(p.strip() for p in params.split(","))
+
+    def entry(*arrays):
+        arrays = [np.asarray(a) for a in arrays]
+        check_input_lengths(names, arrays, n, nnz)
+        return fn(*arrays)
+
+    return entry
 
 
 class _Emitter:
@@ -271,6 +297,8 @@ class PythonBackend:
                     constants=dict(self._constants),
                     method=kernel.method,
                     codegen_seconds=time.perf_counter() - start,
+                    n=context.inspection.n,
+                    nnz=context.matrix.nnz,
                 )
         self._constants = {}
         self._const_counter = 0
@@ -300,6 +328,8 @@ class PythonBackend:
             constants=dict(self._constants),
             method=kernel.method,
             codegen_seconds=codegen_seconds,
+            n=context.inspection.n,
+            nnz=context.matrix.nnz,
         )
 
     # ------------------------------------------------------------------ #

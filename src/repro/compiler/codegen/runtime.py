@@ -31,6 +31,7 @@ __all__ = [
     "pattern_fingerprint",
     "rhs_fingerprint_extra",
     "generated_code_dir",
+    "check_input_lengths",
 ]
 
 
@@ -44,6 +45,55 @@ def runtime_namespace() -> types.SimpleNamespace:
         small_cholesky=small_cholesky,
         small_lower_solve=small_lower_solve,
     )
+
+
+def check_input_lengths(names, arrays, n: int, nnz: int) -> None:
+    """O(1) guard of a compiled entry's input arrays against its pattern.
+
+    ``arrays`` are the entry's inputs in ``names`` order: column pointers,
+    row indices, values, then any right-hand sides.  Generated code trusts
+    the compiled pattern and indexes these arrays without bounds checks, so
+    the column pointers must have ``n + 1`` entries ending at the compiled
+    ``nnz``, the row indices and values at least ``nnz``, and right-hand
+    sides exactly ``n``.  A mismatch raises ``ValueError`` naming the array.
+    A same-size array with another pattern passes; only the full
+    fingerprint (``check_pattern=True``) catches that.
+    """
+    indptr, indices, values, *rhs = arrays
+    if (
+        indptr.size != n + 1
+        or indptr[-1] != nnz
+        or indices.size < nnz
+        or values.size < nnz
+        or any([r.size != n for r in rhs])
+    ):
+        _raise_length_error(names, arrays, n, nnz)
+
+
+def _raise_length_error(names, arrays, n: int, nnz: int) -> None:
+    """Name the first input whose length does not fit the compiled pattern."""
+    indptr = arrays[0]
+    if indptr.size != n + 1:
+        raise ValueError(
+            f"{names[0]} has {indptr.size} entries; the compiled pattern "
+            f"needs n + 1 = {n + 1}"
+        )
+    if indptr[-1] != nnz:
+        raise ValueError(
+            f"{names[0]}[-1] is {int(indptr[-1])}; the compiled pattern has "
+            f"nnz = {nnz}"
+        )
+    for name, arr in zip(names[1:3], arrays[1:3]):
+        if arr.size < nnz:
+            raise ValueError(
+                f"{name} has {arr.size} entries; the compiled pattern needs "
+                f"at least nnz = {nnz}"
+            )
+    for name, arr in zip(names[3:], arrays[3:]):
+        if arr.size != n:
+            raise ValueError(
+                f"{name} has {arr.size} entries; the compiled pattern needs n = {n}"
+            )
 
 
 def pattern_fingerprint(*arrays: np.ndarray, extra: str = "") -> str:

@@ -36,7 +36,13 @@ from repro.observe.trace import span
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["IngestedMatrix", "ingest", "as_csc", "structure_fingerprint"]
+__all__ = [
+    "IngestedMatrix",
+    "ingest",
+    "as_csc",
+    "as_real",
+    "structure_fingerprint",
+]
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,27 @@ def structure_fingerprint(A: CSCMatrix) -> str:
     )
 
 
+def _reject_complex(dtype, what: str) -> None:
+    """Raise ``TypeError`` for a complex ``dtype``: the kernels are real.
+
+    Casting to float64 would drop the imaginary part and return a wrong
+    answer silently.  The check reads the dtype only, never the data, so it
+    stays O(1) on the per-op refactor path.
+    """
+    if np.dtype(dtype).kind == "c":
+        raise TypeError(
+            f"complex {what} ({np.dtype(dtype)}) is not supported: the "
+            "compiled kernels are real-valued"
+        )
+
+
+def as_real(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, refusing complex input (see above)."""
+    arr = np.asarray(values)
+    _reject_complex(arr.dtype, what)
+    return np.asarray(arr, dtype=np.float64)
+
+
 def _is_scipy_sparse(obj) -> bool:
     """Duck-typed scipy.sparse check (no import of scipy required)."""
     return hasattr(obj, "tocsc") and hasattr(obj, "shape") and not isinstance(obj, CSCMatrix)
@@ -94,6 +121,7 @@ def _from_triplets(obj) -> IngestedMatrix:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     raw_values = np.asarray(values)
+    _reject_complex(raw_values.dtype, "matrix values")
     if shape is None:
         n = int(max(rows.max(initial=-1), cols.max(initial=-1))) + 1
         shape = (n, n)
@@ -122,6 +150,7 @@ def ingest(A) -> IngestedMatrix:
             )
         if _is_scipy_sparse(A):
             dtype = str(getattr(A, "dtype", np.float64))
+            _reject_complex(dtype, "matrix values")
             return IngestedMatrix(
                 csc=CSCMatrix.from_scipy(A), dtype=dtype, source_format="scipy"
             )
@@ -129,6 +158,7 @@ def ingest(A) -> IngestedMatrix:
             return _from_triplets(A)
         arr = np.asarray(A)
         if arr.ndim == 2:
+            _reject_complex(arr.dtype, "matrix values")
             return IngestedMatrix(
                 csc=CSCMatrix.from_dense(arr.astype(np.float64)),
                 dtype=str(arr.dtype),

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.compiler.cache import options_fingerprint
 from repro.compiler.options import SympilerOptions
-from repro.frontend.ingest import IngestedMatrix, ingest, structure_fingerprint
+from repro.frontend.ingest import IngestedMatrix, as_real, ingest, structure_fingerprint
 from repro.frontend.probes import (
     AUTO_METHODS,
     DEFAULT_ITERATIVE_THRESHOLD,
@@ -310,7 +310,7 @@ class SpecializedSolver:
             )
         requested = method if method is not None else self.method
         ingested = ingest(A)
-        b = np.asarray(b, dtype=np.float64)
+        b = as_real(b, "right-hand side")
         key = self._key(ingested, requested)
         with self._lock:
             spec = self._cache.get(key)

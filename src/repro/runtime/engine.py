@@ -209,13 +209,15 @@ class BatchExecutor:
         the calls (per-call thread count 1).  A smaller batch of
         wavefront-capable kernels would leave workers idle, so the threads
         go *inside* each kernel instead: items run sequentially and each
-        call fans its level sets across ``num_threads`` workers.
+        call fans its level sets across ``num_threads`` workers.  A batch
+        of one on a stacked-capable artifact runs the plain compiled entry,
+        which is faster for one item and gives the same bits.
         """
         if self._is_c_backend and self.num_threads > 1 and n_items > 0:
             if n_items >= self.num_threads or not self.wavefront_capable:
                 return "threads", 1
             return "wavefront", self.num_threads
-        if self._stacked is not None:
+        if self._stacked is not None and n_items > 1:
             return "stacked", 1
         return "serial", 1
 

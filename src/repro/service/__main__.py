@@ -420,8 +420,9 @@ def main(argv=None) -> int:
         help="code-generation backend for registered patterns",
     )
     parser.add_argument(
-        "--window-ms", type=float, default=2.0,
-        help="micro-batching window in milliseconds",
+        "--window-ms", type=float, default=0.0,
+        help="micro-batching window in milliseconds (0: dispatch at once, "
+        "batching what arrives during a dispatch)",
     )
     parser.add_argument("--max-batch", type=int, default=32, help="coalesced batch cap")
     parser.add_argument(

@@ -123,6 +123,9 @@ class ServiceClient:
         else:
             host, port = address
             self._sock = socket.create_connection((host, int(port)), timeout=timeout)
+            # Requests are one write each (send_message); without this,
+            # Nagle holds a request behind the previous one's delayed ACK.
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._wfile = self._sock.makefile("wb")
         self._lock = threading.Lock()  # v1 round-trips; v2 sends

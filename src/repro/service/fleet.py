@@ -117,7 +117,7 @@ class ShardFleet:
         shards: int = 2,
         *,
         backend: str = "python",
-        window_ms: float = 2.0,
+        window_ms: float = 0.0,
         max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,

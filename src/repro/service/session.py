@@ -130,7 +130,9 @@ class SolverService:
     window_seconds, max_batch:
         Micro-batching knobs: a pattern's queue flushes when the oldest
         request has waited ``window_seconds`` or ``max_batch`` requests are
-        queued, whichever comes first.
+        queued, whichever comes first.  The default window of 0 dispatches
+        a lone request at once and batches whatever arrives while a
+        dispatch runs, so batches still form under load.
     max_in_flight, retry_after_seconds:
         Backpressure: beyond ``max_in_flight`` admitted-but-incomplete
         requests, ``submit`` rejects with a ``retry_after`` hint.
@@ -162,7 +164,7 @@ class SolverService:
         self,
         *,
         options: Optional[SympilerOptions] = None,
-        window_seconds: float = 0.002,
+        window_seconds: float = 0.0,
         max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,

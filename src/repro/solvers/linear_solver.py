@@ -280,7 +280,9 @@ class SparseLinearSolver:
         CPU; serial kernels ignore it), bitwise identical to serial either
         way.
         """
-        b = np.asarray(b, dtype=np.float64)
+        from repro.frontend.ingest import as_real
+
+        b = as_real(b, "right-hand side")
         if b.shape != (self.A.n,):
             raise ValueError(f"b must have shape ({self.A.n},)")
         if Lt is None:
@@ -324,7 +326,9 @@ class SparseLinearSolver:
         mapped over the batched runtime's thread pool (deterministic column
         order either way).
         """
-        B = np.asarray(B, dtype=np.float64)
+        from repro.frontend.ingest import as_real
+
+        B = as_real(B, "right-hand side")
         if B.ndim != 2 or B.shape[0] != self.A.n:
             raise ValueError(f"B must have shape ({self.A.n}, k)")
         from repro.runtime.engine import BatchExecutor

@@ -3,8 +3,8 @@
 Every method × {serial, wavefront} entry is checked against the python
 backend (same outputs bit for bit, same types and shapes, same breakdown
 message) and its generated C signature is pinned, so a change to the table
-cannot change the ABI unnoticed.  The wrapper's O(1) length guard — the
-only check between caller arrays and raw C pointer reads — is covered too.
+cannot change the ABI unnoticed.  The O(1) length guard both backends run
+before the generated code indexes caller arrays is covered too.
 """
 
 import numpy as np
@@ -119,24 +119,28 @@ def test_entry_matches_python_backend(method, parallel, tmp_path, monkeypatch):
         assert _message(art_c, bad) == message
 
 
-@pytest.mark.parametrize("parallel", ["none", "wavefront"])
+@pytest.mark.parametrize(
+    "backend,parallel",
+    [("c", "none"), ("c", "wavefront"), ("python", "none")],
+    ids=["none", "wavefront", "python"],
+)
 class TestLengthGuard:
-    """Short or mis-sized arrays raise instead of reaching the C kernel."""
+    """Short or mis-sized arrays raise instead of reaching the kernel."""
 
     @staticmethod
-    def _compiled(parallel):
-        sym = Sympiler(SympilerOptions(backend="c", parallel=parallel))
+    def _compiled(backend, parallel):
+        sym = Sympiler(SympilerOptions(backend=backend, parallel=parallel))
         A = laplacian_2d(10, 10)
         chol = sym.compile("cholesky", A)
         return sym, A, chol
 
-    def test_factorize_rejects_truncated_arrays(self, parallel):
-        _, A, chol = self._compiled(parallel)
+    def test_factorize_rejects_truncated_arrays(self, backend, parallel):
+        _, A, chol = self._compiled(backend, parallel)
         with pytest.raises(ValueError, match="Ap has 5 entries"):
             chol.factorize_arrays(A.indptr[:5], A.indices[:3], A.data[:3])
 
-    def test_trisolve_rejects_short_values_and_rhs(self, parallel):
-        sym, A, chol = self._compiled(parallel)
+    def test_trisolve_rejects_short_values_and_rhs(self, backend, parallel):
+        sym, A, chol = self._compiled(backend, parallel)
         L = chol.factorize(A)
         tri = sym.compile("triangular-solve", L)
         with pytest.raises(ValueError, match="Lx has 10 entries"):
@@ -146,8 +150,8 @@ class TestLengthGuard:
         with pytest.raises(ValueError, match="b has 101 entries"):
             tri.solve_arrays(L.indptr, L.indices, L.data, np.ones(L.n + 1))
 
-    def test_each_array_is_named(self, parallel):
-        _, A, chol = self._compiled(parallel)
+    def test_each_array_is_named(self, backend, parallel):
+        _, A, chol = self._compiled(backend, parallel)
         shifted = A.indptr.copy()
         shifted[-1] -= 1
         cases = {

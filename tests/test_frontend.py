@@ -416,6 +416,30 @@ class TestIngestInExplicitAPIs:
             svc.close()
 
 
+    @pytest.mark.parametrize(
+        "complex_part", ["matrix", "dense-matrix", "triplets", "rhs"]
+    )
+    def test_complex_input_raises_type_error(self, complex_part):
+        """Complex values are refused, never cast to real and solved wrongly."""
+        A = laplacian_2d(5)
+        S, b = A.to_scipy(), np.ones(A.n)
+        coo = S.tocoo()
+        forms = {
+            "matrix": (S * (1 + 1j), b),
+            "dense-matrix": (S.toarray() * (1 + 1j), b),
+            "triplets": ((coo.row, coo.col, coo.data * (1 + 1j)), b),
+            "rhs": (S, b * (1 + 1j)),
+        }
+        M, rhs = forms[complex_part]
+        with pytest.raises(TypeError, match="complex"):
+            repro.solve(M, rhs)
+        with pytest.raises(TypeError, match="complex"):
+            SparseLinearSolver(M).solve(rhs)
+        if complex_part == "rhs":
+            with pytest.raises(TypeError, match="complex"):
+                SparseLinearSolver(M).solve_many(np.column_stack([rhs, rhs]))
+
+
 # --------------------------------------------------------------------------- #
 # num_threads unification (satellite: pcg gained the knob)
 # --------------------------------------------------------------------------- #

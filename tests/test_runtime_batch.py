@@ -9,8 +9,10 @@ isolation and deterministic result ordering.
 import numpy as np
 import pytest
 
+from repro.compiler.cache import ArtifactCache
 from repro.compiler.codegen.c_backend import c_compiler_available
 from repro.compiler.options import SympilerOptions
+from repro.compiler.sympiler import Sympiler
 from repro.runtime.engine import BatchExecutor, resolve_num_threads
 from repro.runtime.facade import BatchedSolver
 from repro.solvers.linear_solver import SparseLinearSolver
@@ -95,6 +97,29 @@ class TestBitwiseIdentity:
         )
         assert batched.last_result.mode == "stacked"
         assert all(h.U is not None for h in handles)
+
+    @pytest.mark.parametrize(
+        "method,A",
+        [
+            ("cholesky", laplacian_2d(9, shift=0.1)),
+            ("ldlt", saddle_point_indefinite(28, 10, seed=5)),
+            ("lu", unsymmetric_diag_dominant(50, seed=6)),
+        ],
+        ids=["cholesky", "ldlt", "lu"],
+    )
+    def test_python_batch_of_one_runs_plain_kernel(self, method, A):
+        """One item skips the stacked kernel and gives the stacked bits."""
+        options = SympilerOptions(backend="python", enable_vs_block=False)
+        artifact = Sympiler(options, cache=ArtifactCache()).compile(method, A)
+        executor = BatchExecutor(artifact)
+        values = [A.data * (1.0 + 0.05 * b) for b in range(3)]
+        stacked = executor.factorize_batch(A.indptr, A.indices, values)
+        assert stacked.mode == "stacked" and stacked.ok
+        for ax, expected in zip(values, stacked.results):
+            one = executor.factorize_batch(A.indptr, A.indices, [ax])
+            assert one.mode == "serial" and one.ok
+            pairs = zip(*(r if isinstance(r, tuple) else (r,) for r in (one.results[0], expected)))
+            assert all(np.array_equal(got, want) for got, want in pairs)
 
     @needs_cc
     def test_c_threaded_cholesky(self):

@@ -446,3 +446,82 @@ class TestProtocolV2:
         with pytest.raises(ShardUnavailableError):
             future.result(timeout=10)
         service.coalescer.window_seconds = 0.005
+
+
+class _RecordingStream:
+    """A write-only stream that records each ``write`` call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
+
+
+class TestNoServingStalls:
+    """Nagle's algorithm must never hold a message behind a delayed ACK."""
+
+    def test_send_message_is_one_write(self):
+        stream = _RecordingStream()
+        frames = [
+            np.arange(5, dtype=np.float64),
+            np.array(2.5),  # 0-d frame
+            np.zeros(0),  # zero-size frame
+            np.arange(12, dtype=np.int64).reshape(3, 4)[:, ::2],  # strided
+        ]
+        send_message(stream, {"op": "solve", "id": 3}, frames)
+        assert len(stream.writes) == 1
+        header, received = recv_message(io.BytesIO(stream.writes[0]))
+        assert header["id"] == 3
+        for sent, got in zip(frames, received):
+            assert np.array_equal(sent, got) and sent.shape == got.shape
+
+    def test_tcp_nodelay_on_both_ends(self, monkeypatch):
+        import socket
+
+        from repro.service import wire
+
+        accepted = []
+        setup = wire._ServiceConnectionHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            accepted.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(wire._ServiceConnectionHandler, "setup", recording_setup)
+        service = SolverService()
+        server, thread = serve_background(service)
+        try:
+            with ServiceClient(server.server_address) as client:
+                assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert client.ping()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert accepted and all(accepted)
+
+    def test_lock_step_ping_has_no_delayed_ack_stall(self):
+        service = SolverService()
+        server, thread = serve_background(service)
+        try:
+            with ServiceClient(server.server_address) as client:
+                assert client.protocol == 2
+                client.ping()  # connection warm-up
+                times = []
+                for _ in range(30):
+                    start = time.perf_counter()
+                    assert client.ping()
+                    times.append(time.perf_counter() - start)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        # A Nagle / delayed-ACK stall costs about 40 ms per round trip.
+        assert np.median(times) < 0.010
