@@ -189,7 +189,7 @@ class GeneratedModule:
     """A generated, compiled Python module specialized to one pattern.
 
     ``n`` and ``nnz`` are the compiled pattern's order and nonzero count;
-    when set, the entry callable checks its input lengths against them
+    the entry callable checks its input lengths against them
     (:func:`~repro.compiler.codegen.runtime.check_input_lengths`) before the
     generated code indexes the arrays.
     """
@@ -199,9 +199,9 @@ class GeneratedModule:
     constants: Dict[str, np.ndarray]
     method: str
     codegen_seconds: float
+    n: int
+    nnz: int
     compile_seconds: float = 0.0
-    n: Optional[int] = None
-    nnz: Optional[int] = None
     _callable: Optional[Callable] = field(default=None, repr=False)
 
     def compile(self) -> Callable:
@@ -219,8 +219,7 @@ class GeneratedModule:
         fn = namespace.get(self.entry_name)
         if not callable(fn):
             raise CodegenError(f"generated module does not define {self.entry_name!r}")
-        if self.n is not None:
-            fn = _length_guarded(fn, _PY_METHOD_SPECS[self.method].params, self.n, self.nnz)
+        fn = _length_guarded(fn, _PY_METHOD_SPECS[self.method].params, self.n, self.nnz)
         self._callable = fn
         return fn
 

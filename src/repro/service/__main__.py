@@ -46,12 +46,13 @@ __all__ = ["main", "run_smoke", "run_fleet_smoke"]
 
 def _build_service(args) -> SolverService:
     options = SympilerOptions(backend=args.backend)
+    window = {} if args.window_ms is None else {"window_seconds": args.window_ms / 1000.0}
     return SolverService(
         options=options,
-        window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         max_in_flight=args.max_in_flight,
         max_patterns=args.max_patterns,
+        **window,
     )
 
 
@@ -420,9 +421,9 @@ def main(argv=None) -> int:
         help="code-generation backend for registered patterns",
     )
     parser.add_argument(
-        "--window-ms", type=float, default=0.0,
-        help="micro-batching window in milliseconds (0: dispatch at once, "
-        "batching what arrives during a dispatch)",
+        "--window-ms", type=float, default=None,
+        help="micro-batching window in milliseconds (default: the service's, "
+        "0 = dispatch at once, batching what arrives during a dispatch)",
     )
     parser.add_argument("--max-batch", type=int, default=32, help="coalesced batch cap")
     parser.add_argument(

@@ -23,8 +23,6 @@ import threading
 import time
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.observe import trace as observe_trace
-
 __all__ = ["Coalescer"]
 
 
@@ -59,7 +57,7 @@ class Coalescer:
         self,
         dispatch: Callable[[object, Sequence[object]], None],
         *,
-        window_seconds: float = 0.002,
+        window_seconds: float,
         max_batch: int = 32,
     ) -> None:
         if window_seconds < 0:
@@ -168,12 +166,7 @@ class Coalescer:
                 self._busy = True
             entry, batch = ready
             try:
-                # The dispatcher thread has no caller context of its own;
-                # the batch-level span starts a fresh trace here, while the
-                # per-request dispatch spans inside re-attach each
-                # submitter's captured context (see session._dispatch).
-                with observe_trace.span("coalesce", batch=len(batch)):
-                    self._dispatch(entry, batch)
+                self._dispatch(entry, batch)
             except Exception as exc:  # pragma: no cover - dispatch guards itself
                 _fail_batch(batch, exc)
             finally:

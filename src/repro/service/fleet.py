@@ -117,7 +117,7 @@ class ShardFleet:
         shards: int = 2,
         *,
         backend: str = "python",
-        window_ms: float = 0.0,
+        window_ms: Optional[float] = None,
         max_batch: int = 32,
         max_in_flight: int = 256,
         max_patterns: int = 32,
@@ -131,7 +131,8 @@ class ShardFleet:
         if shards < 1:
             raise ValueError("a fleet needs at least one shard")
         self.backend = backend
-        self.window_ms = float(window_ms)
+        #: ``None`` leaves each worker on the service's default window.
+        self.window_ms = None if window_ms is None else float(window_ms)
         self.max_batch = int(max_batch)
         self.max_in_flight = int(max_in_flight)
         self.max_patterns = int(max_patterns)
@@ -173,7 +174,7 @@ class ShardFleet:
     # Process lifecycle
     # ------------------------------------------------------------------ #
     def _worker_command(self) -> List[str]:
-        return [
+        command = [
             sys.executable,
             "-m",
             "repro.service",
@@ -183,15 +184,18 @@ class ShardFleet:
             "0",
             "--backend",
             self.backend,
-            "--window-ms",
-            str(self.window_ms),
             "--max-batch",
             str(self.max_batch),
             "--max-in-flight",
             str(self.max_in_flight),
             "--max-patterns",
             str(self.max_patterns),
-        ] + (["--trace"] if self.trace else [])
+        ]
+        if self.window_ms is not None:
+            command += ["--window-ms", str(self.window_ms)]
+        if self.trace:
+            command.append("--trace")
+        return command
 
     def _worker_env(self) -> Dict[str, str]:
         env = dict(os.environ)

@@ -186,7 +186,7 @@ class SolverService:
             retry_after_seconds=retry_after_seconds,
         )
         self.coalescer = Coalescer(
-            self._dispatch, window_seconds=window_seconds, max_batch=max_batch
+            self._dispatch_coalesced, window_seconds=window_seconds, max_batch=max_batch
         )
         self._lock = threading.Lock()
         self._entries: Dict[tuple, _PatternEntry] = {}
@@ -461,7 +461,7 @@ class SolverService:
             # the whole pool, so queueing for batchmates only adds latency.
             if entry.handle.execution_strategy == "wavefront":
                 self.metrics.incr("dispatch_wavefront")
-            self._dispatch(entry, [request])
+            _settle(self._run_batch(entry, [request]))
         return request.future
 
     def solve(
@@ -475,8 +475,26 @@ class SolverService:
         """Synchronous solve: :meth:`submit` + wait."""
         return self.submit(handle, values, rhs).result(timeout=timeout)
 
-    def _dispatch(self, entry: _PatternEntry, requests) -> None:
-        """Run one coalesced batch: factorize together, solve per request.
+    def _dispatch_coalesced(self, entry: _PatternEntry, requests) -> None:
+        """The coalescer's dispatch: one micro-batch under a batch-level span.
+
+        The dispatcher thread has no caller context of its own; the batch
+        span starts a fresh trace here, while the per-request dispatch spans
+        inside re-attach each submitter's captured context.  The futures
+        resolve after the span closes, so a caller holding its result (or a
+        wire client holding its reply) finds the batch's spans finished.
+        """
+        with observe_trace.span("coalesce", batch=len(requests)):
+            outcomes = self._run_batch(entry, requests)
+        _settle(outcomes)
+
+    def _run_batch(self, entry: _PatternEntry, requests) -> list:
+        """Run one batch: factorize together, solve per request.
+
+        Returns ``(future, exception, result)`` outcomes for :func:`_settle`
+        instead of resolving the futures here: latency, admission and slow-
+        request bookkeeping finish first, so a caller that sees its result
+        also sees this batch in :meth:`stats`.
 
         Per-request error isolation: a singular/indefinite value set resolves
         its own future with the kernel error; batchmates complete normally.
@@ -487,9 +505,10 @@ class SolverService:
         # Claim every future up front: set_running_or_notify_cancel() False
         # means the client cancelled while queued — skip its work entirely —
         # and True locks out late cancellation, so set_result/set_exception
-        # below can never raise InvalidStateError into the batch handler
+        # in _settle can never raise InvalidStateError into the batch handler
         # (which would fail innocent batchmates).
         live = [r for r in requests if r.future.set_running_or_notify_cancel()]
+        outcomes: Dict[int, tuple] = {}  # index into live -> (exception, result)
         cancelled = len(requests) - len(live)
         if cancelled:
             self.metrics.incr("solves_cancelled", cancelled)
@@ -514,7 +533,7 @@ class SolverService:
             for i, (request, factor_handle) in enumerate(zip(live, handles)):
                 if not factor_handle.ok:
                     self.metrics.incr("solves_failed")
-                    request.future.set_exception(factor_handle.error)
+                    outcomes[i] = (factor_handle.error, None)
                     continue
                 try:
                     # Attach the submitter's trace context so the dispatch
@@ -528,16 +547,16 @@ class SolverService:
                         )
                 except Exception as exc:
                     self.metrics.incr("solves_failed")
-                    request.future.set_exception(exc)
+                    outcomes[i] = (exc, None)
                 else:
                     self.metrics.incr("solves_ok")
                     entry.solves += 1
-                    request.future.set_result(x)
+                    outcomes[i] = (None, x)
         except Exception as exc:
-            for request in live:
-                if not request.future.done():
+            for i in range(len(live)):
+                if i not in outcomes:
                     self.metrics.incr("solves_failed")
-                    request.future.set_exception(exc)
+                    outcomes[i] = (exc, None)
         finally:
             now = time.monotonic()
             self.metrics.observe_batch(len(requests))
@@ -548,6 +567,7 @@ class SolverService:
                 self.metrics.observe_latency(latency)
                 if slow_after is not None and latency >= slow_after:
                     self._sample_slow_request(entry, request, latency)
+        return [(live[i].future, *outcomes[i]) for i in sorted(outcomes)]
 
     def _sample_slow_request(
         self, entry: _PatternEntry, request: _Request, latency: float
@@ -692,3 +712,12 @@ class SolverService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _settle(outcomes) -> None:
+    """Resolve the futures of one batch from :meth:`SolverService._run_batch`."""
+    for future, exc, result in outcomes:
+        if exc is None:
+            future.set_result(result)
+        else:
+            future.set_exception(exc)

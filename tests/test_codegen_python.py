@@ -162,6 +162,8 @@ class TestBackendInfrastructure:
             constants={},
             method="triangular-solve",
             codegen_seconds=0.0,
+            n=1,
+            nnz=1,
         )
         with pytest.raises(CodegenError):
             module.compile()

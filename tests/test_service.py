@@ -279,6 +279,26 @@ class TestMetricsAndStats:
         assert stats["artifact_cache"]["pinned"] > 0
         assert handle.handle_id in stats["patterns"]
 
+    def test_result_comes_after_its_bookkeeping(self):
+        # A future resolves only once its batch's latency and admission slot
+        # are recorded, so stats read right after a result already count it.
+        # Slow bookkeeping widens the window a result could overtake it in.
+        A = laplacian_2d(6, shift=0.1)
+        with _service() as svc:
+            handle = svc.register_pattern(A)
+            observe_batch = svc.metrics.observe_batch
+
+            def slow_observe_batch(size):
+                time.sleep(0.05)
+                observe_batch(size)
+
+            svc.metrics.observe_batch = slow_observe_batch
+            for i in range(3):
+                svc.solve(handle, A.data, np.ones(A.n), timeout=30)
+                stats = svc.stats()
+                assert stats["latency"]["count"] == i + 1
+                assert stats["in_flight"] == 0
+
     def test_rejections_are_counted(self):
         A = laplacian_2d(6, shift=0.1)
         with _service(window_seconds=60.0, max_batch=64, max_in_flight=1) as svc:
